@@ -12,8 +12,8 @@ Four sections, all hard gates:
    ``sim.dispatch`` mean per dispatched request of ``window-lap`` must
    not exceed greedy mT-Share's: batching has to pay for itself.
 4. **kernel dominance** — the cost-matrix fill must run entirely on
-   the batched insertion kernels and bulk many-to-many cost gathers;
-   the per-pair scalar fallback counter must stay zero.
+   the insertion scorer and bulk many-to-many cost gathers; the
+   per-pair scalar fallback counter must stay zero.
 
 Usage::
 

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import abc
 
-import numpy as np
-
 from ..analysis import contracts
 from ..config import SystemConfig
 from ..core.matching import MatchResult
 from ..demand.request import RideRequest
-from ..fleet.schedule import evaluate_insertions, remove_request_stops
+from ..fleet.schedule import (
+    materialize_insertion,
+    remove_request_stops,
+    score_insertions_tight,
+)
 from ..fleet.taxi import Taxi
 from ..network.graph import RoadNetwork
 from ..network.shortest_path import ShortestPathEngine
@@ -232,19 +234,17 @@ class DispatchScheme(abc.ABC):
             return None
         node, ready = taxi.position_at(now)
         pending = taxi.pending_stops()
-        current_cost = taxi.remaining_route_cost(ready)
-
-        batch = evaluate_insertions(
-            self._engine, node, ready, pending, request, taxi.occupancy, taxi.capacity
+        m = len(pending)
+        best = score_insertions_tight(
+            self._engine, [(node, ready, pending, taxi.occupancy, taxi.capacity)], request
         )
-        self._obs.count("match.insertions_evaluated", batch.size)
-        self._obs.count("kernel.batched_insertions", 1)
-        feasible = np.flatnonzero(batch.feasible)
-        if feasible.size == 0:
+        self._obs.count("match.insertions_evaluated", (m + 1) * (m + 2) // 2)
+        self._obs.count("kernel.tight_dispatches", 1)
+        if not best:
             return None
-        k = int(feasible[np.argmin(batch.last_arrival[feasible])])
-        detour = (float(batch.last_arrival[k]) - ready) - current_cost
-        stops = batch.stops_for(k)
+        _idx, last, i, j = best[0]
+        detour = (last - ready) - taxi.remaining_route_cost(ready)
+        stops = materialize_insertion(pending, request, i, j)
         try:
             route = self._fallback_router.route_for_schedule(node, ready, stops)
         except RouteInfeasible:

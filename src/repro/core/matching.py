@@ -14,7 +14,10 @@ This implements Section IV-C of the paper.  For a request ``r_i``:
   detour cost ``omega = cost(R') - cost(R)`` (Eq. 4).
 
 Schedule instances are evaluated with O(1) cached shortest-path costs
-(the paper's stated assumption); the concrete route of each candidate's
+(the paper's stated assumption) by one scorer,
+:func:`~repro.fleet.schedule.score_insertions_tight`, whichever path
+asks: a greedy dispatch, a window's busy candidates or one taxi's
+offline encounter.  The concrete route of each candidate's
 best instance is then planned by the configured router — basic or
 probabilistic — and the final winner is chosen by *actual* route
 detour, so probabilistic detours are fully accounted for.  Routes are
@@ -41,8 +44,6 @@ from ..fleet.schedule import (
     capacity_ok,
     deadlines_met,
     enumerate_insertions,
-    evaluate_insertions,
-    evaluate_insertions_grouped,
     materialize_insertion,
     score_insertions_tight,
 )
@@ -60,12 +61,10 @@ from .mobility_cluster import (
 )
 from .routing import BasicRouter, RouteInfeasible
 
-#: Total insertion instances below which a dispatch is scored with the
-#: tight scalar distance-row walk instead of the grouped array kernels.
-#: numpy's fixed per-call dispatch cost dominates under roughly a
-#: hundred instances (see docs/PERFORMANCE.md); both paths produce the
-#: scalar reference's decisions bit for bit.
-TIGHT_INSERTION_MAX = 96
+
+def _instance_count(items: list[tuple[Taxi, int, float, list[Stop]]]) -> int:
+    """Insertion instances Algorithm 1 enumerates: ``(m+1)(m+2)/2`` each."""
+    return sum((len(p) + 1) * (len(p) + 2) // 2 for _, _, _, p in items)
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,37 +288,43 @@ class Matcher:
         Returns ``(detour, taxi, build_stops)`` triples sorted by
         detour (taxi id breaking ties); ``build_stops()`` materialises
         the winning stop list, so only the few candidates that reach
-        route planning pay for it.  Small dispatches are scored with
-        the tight distance-row walk, large ones with the grouped array
-        kernels — detours, feasibility and the per-taxi winning
-        instance are bit-identical either way to calling
-        :meth:`_best_insertion` (and therefore the scalar reference)
-        taxi by taxi.
+        route planning pay for it.  Each candidate's detour and
+        winning instance are bit-identical to
+        :meth:`_best_insertion_scalar`, the scalar reference.
         """
         items: list[tuple[Taxi, int, float, list[Stop]]] = []
-        total = 0
         for taxi in candidates:
             node, ready = taxi.position_at(now)
-            pending = taxi.pending_stops()
-            m = len(pending)
-            total += (m + 1) * (m + 2) // 2
-            items.append((taxi, node, ready, pending))
-        if total <= TIGHT_INSERTION_MAX:
-            scored = self._score_tight(items, request)
-        else:
-            scored = self._score_grouped(items, request)
-        self._obs.count("match.insertions_evaluated", total)
+            items.append((taxi, node, ready, taxi.pending_stops()))
+        scored = self._score(items, request)
+        self._obs.count("match.insertions_evaluated", _instance_count(items))
         scored.sort(key=lambda item: (item[0], item[1].taxi_id))
         return scored
 
-    def _score_tight(
+    def score_insertions_for(
         self,
         items: list[tuple[Taxi, int, float, list[Stop]]],
         request: RideRequest,
     ) -> list[tuple[float, Taxi, Callable[[], list[Stop]]]]:
-        """Small-dispatch scorer: one tight distance-row walk over the
-        whole candidate set (rows and the request's stop pair are shared
-        across candidates inside :func:`score_insertions_tight`)."""
+        """Detour scoring over pre-gathered candidate states.
+
+        ``items`` holds ``(taxi, position_node, ready_time, pending_stops)``
+        tuples — the caller gathers them once and may share them across
+        several scoring calls (the window cost-matrix builder gathers
+        each taxi's state once per dispatch window).  Same scorer and
+        same guarantees as :meth:`_score_candidates`, but unsorted and
+        not counted in ``match.insertions_evaluated``.
+        """
+        return self._score(items, request)
+
+    def _score(
+        self,
+        items: list[tuple[Taxi, int, float, list[Stop]]],
+        request: RideRequest,
+    ) -> list[tuple[float, Taxi, Callable[[], list[Stop]]]]:
+        """The one insertion scorer: a single :func:`score_insertions_tight`
+        walk over the whole candidate set (distance rows and the
+        request's stop pair are shared across candidates)."""
         starts = [
             (node, ready, pending, taxi.occupancy, taxi.capacity)
             for taxi, node, ready, pending in items
@@ -332,106 +337,14 @@ class Matcher:
         self._obs.count("kernel.tight_dispatches", 1)
         return scored
 
-    def _score_grouped(
-        self,
-        items: list[tuple[Taxi, int, float, list[Stop]]],
-        request: RideRequest,
-    ) -> list[tuple[float, Taxi, Callable[[], list[Stop]]]]:
-        """Large-dispatch scorer: candidates grouped by pending-stop
-        count, one :func:`evaluate_insertions_grouped` kernel each."""
-        groups: dict[int, list[tuple[Taxi, int, float, list[Stop]]]] = {}
-        for item in items:
-            groups.setdefault(len(item[3]), []).append(item)
-        scored: list[tuple[float, Taxi, Callable[[], list[Stop]]]] = []
-        for group in groups.values():
-            batch = evaluate_insertions_grouped(
-                self._engine,
-                [g[1] for g in group],
-                [g[2] for g in group],
-                [g[3] for g in group],
-                request,
-                [g[0].occupancy for g in group],
-                [g[0].capacity for g in group],
-            )
-            # First minimum among the feasible instances, per taxi —
-            # the scalar loop's strict-improvement tie handling.
-            masked = np.where(batch.feasible, batch.last_arrival, np.inf)
-            winners = np.argmin(masked, axis=1)
-            for t, (taxi, _node, ready, _pending) in enumerate(group):
-                k = int(winners[t])
-                if not batch.feasible[t, k]:
-                    continue
-                detour = (float(batch.last_arrival[t, k]) - ready) - taxi.remaining_route_cost(
-                    ready
-                )
-                scored.append((detour, taxi, partial(batch.stops_for, t, k)))
-        self._obs.count("kernel.batched_insertions", len(groups))
-        return scored
-
-    def score_insertions_for(
-        self,
-        items: list[tuple[Taxi, int, float, list[Stop]]],
-        request: RideRequest,
-    ) -> list[tuple[float, Taxi, Callable[[], list[Stop]]]]:
-        """Grouped-kernel detour scoring over pre-gathered candidate states.
-
-        ``items`` holds ``(taxi, position_node, ready_time, pending_stops)``
-        tuples — the caller gathers them once and may share them across
-        several scoring calls (the window cost-matrix builder gathers
-        each taxi's state once per dispatch window).  Small sets take
-        the tight distance-row walk, large ones the grouped array
-        kernels — the same split as :meth:`_score_candidates`, and by
-        the same kernel invariants detours, feasibility and per-taxi
-        winning instances are bit-identical to the scalar reference
-        either way.
-        """
-        total = sum((len(p) + 1) * (len(p) + 2) // 2 for _, _, _, p in items)
-        if total <= TIGHT_INSERTION_MAX:
-            return self._score_tight(items, request)
-        return self._score_grouped(items, request)
-
-    def _best_insertion(
-        self,
-        taxi: Taxi,
-        request: RideRequest,
-        now: float,
-    ) -> tuple[float, list[Stop]] | None:
-        """Minimum-detour feasible insertion for one taxi, by O(1) costs.
-
-        Evaluates every insertion position at once with the batched
-        array kernel (:func:`~repro.fleet.schedule.evaluate_insertions`);
-        bit-identical to :meth:`_best_insertion_scalar`, the retained
-        reference implementation.  Returns ``(detour_cost, stops)`` or
-        ``None`` when no instance is feasible.
-        """
-        node, ready = taxi.position_at(now)
-        pending = taxi.pending_stops()
-        current_cost = taxi.remaining_route_cost(ready)
-
-        batch = evaluate_insertions(
-            self._engine, node, ready, pending, request, taxi.occupancy, taxi.capacity
-        )
-        # One bulk counter update per candidate, not per instance.
-        self._obs.count("match.insertions_evaluated", batch.size)
-        self._obs.count("kernel.batched_insertions", 1)
-        feasible = np.flatnonzero(batch.feasible)
-        if feasible.size == 0:
-            return None
-        detours = (batch.last_arrival[feasible] - ready) - current_cost
-        # argmin keeps the first minimum, matching the scalar loop's
-        # strict-improvement tie handling over the same instance order.
-        k = int(feasible[np.argmin(detours)])
-        detour = (batch.last_arrival[k] - ready) - current_cost
-        return float(detour), batch.stops_for(k)
-
     def _best_insertion_scalar(
         self,
         taxi: Taxi,
         request: RideRequest,
         now: float,
     ) -> tuple[float, list[Stop]] | None:
-        """Scalar reference for :meth:`_best_insertion` (kernel tests
-        diff the two; the batched path is the production one)."""
+        """Scalar reference for the production scorer :meth:`_score`
+        (the kernel tests diff the two)."""
         node, ready = taxi.position_at(now)
         pending = taxi.pending_stops()
         current_cost = taxi.remaining_route_cost(ready)
@@ -547,11 +460,14 @@ class Matcher:
         """
         if taxi.committed + request.num_passengers > taxi.capacity:
             return None
-        best = self._best_insertion(taxi, request, now)
-        if best is None:
-            return None
-        _detour, stops = best
         node, ready = taxi.position_at(now)
+        items = [(taxi, node, ready, taxi.pending_stops())]
+        scored = self._score(items, request)
+        self._obs.count("match.insertions_evaluated", _instance_count(items))
+        if not scored:
+            return None
+        _detour, _taxi, build_stops = scored[0]
+        stops = build_stops()
         try:
             route = self._basic.route_for_schedule(node, ready, stops)
         except RouteInfeasible:

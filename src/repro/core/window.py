@@ -1,9 +1,9 @@
 """Batch-window global assignment: the ``window-lap`` scheme.
 
 Every other scheme matches greedily, one request at a time, so each
-dispatch pays the full per-request Python loop and the batched kernels
-(PR 2) and CH many-to-many queries (PR 7) never amortise across
-requests.  ``window-lap`` instead collects every online request
+dispatch pays the full per-request Python loop and many-to-many
+distance queries (CH buckets above the APSP cutover) never amortise
+across requests.  ``window-lap`` instead collects every online request
 released inside a ``W``-second dispatch window and solves the whole
 window as one taxi-to-request *linear assignment problem* (Simonetto,
 Monteil & Gambella, "Real-time City-scale Ridesharing via Linear
@@ -17,10 +17,10 @@ Assignment Problems"):
    bulk of every window — are filled for *all* pairs at once from two
    batched :meth:`~repro.network.shortest_path.ShortestPathEngine.cost_matrix`
    gathers (CH bucket many-to-many above the APSP cutover); busy
-   candidates go through the grouped insertion kernels
-   (:func:`~repro.fleet.schedule.evaluate_insertions_grouped`).  Both
-   tiers reproduce the scalar per-pair insertion evaluation bit for
-   bit; infeasible pairs stay ``+inf``.
+   candidates go through the program's one insertion scorer
+   (:func:`~repro.fleet.schedule.score_insertions_tight`, a walk over
+   cached distance rows).  Both fills reproduce the scalar per-pair
+   insertion evaluation bit for bit; infeasible pairs stay ``+inf``.
 3. **Solve** the LAP with ``scipy.optimize.linear_sum_assignment``
    after masking ``+inf`` to a large finite penalty, which makes the
    optimum maximise the number of feasible matches first and minimise
@@ -344,13 +344,13 @@ class WindowLAP(MTShare):
         col_of: dict[int, int],
         matrix: WindowCostMatrix,
     ) -> None:
-        """Fill the busy-candidate pairs through the grouped kernels.
+        """Fill the busy-candidate pairs through the insertion scorer.
 
         Busy schedules need the general insertion machinery; each
-        request's busy candidates go through one grouped-kernel call
-        per distinct pending-stop count
-        (:meth:`~repro.core.matching.Matcher.score_insertions_for`),
-        sharing the per-taxi state gathered once for the window.
+        request's busy candidates go through one
+        :meth:`~repro.core.matching.Matcher.score_insertions_for` call
+        (one distance-row walk over all of them), sharing the per-taxi
+        state gathered once for the window.
         """
         matcher = self._matcher
         obs = self._obs

@@ -91,7 +91,13 @@ def best_insertion_dp(
         start_node, start_time, stops, cost_fn, capacity, initial_onboard
     )
     slack = _slack_after(stops, arrive)
-    base_total = arrive[m] - start_time
+    if slack[0] < -1e-9:
+        # The base schedule already misses a deadline (a traffic shock
+        # delayed it).  Every instance keeps those stops at least as
+        # late, so the enumeration rejects them all; the DP only
+        # re-checks stops from the pick-up position on, so it must
+        # refuse here instead.
+        return None
 
     best_cost = float("inf")
     best_pair: tuple[int, int] | None = None

@@ -11,14 +11,13 @@ feasibility checks; routing (how inter-stop costs are obtained) is
 supplied by the caller as a cost function, so the same machinery serves
 basic routing, probabilistic routing and the grid-based baselines.
 
-:func:`evaluate_insertions` is the *batched* form of the primitive: it
-evaluates every ``(i, j)`` insertion instance of one candidate at once
-with numpy array kernels — arrival vectors via one cached cost-matrix
-gather plus a cumulative sum, capacity profiles and deadline masks as
-elementwise comparisons — producing bit-identical costs and feasibility
-verdicts to the scalar enumeration it replaces on the matching hot
-path (which is retained as the reference the kernel tests diff
-against).
+:func:`score_insertions_tight` is the production form of the primitive:
+one plain-Python walk over cached distance rows scores every candidate
+of a dispatch and returns each one's minimum-arrival feasible
+instance, bit-identical to the scalar enumeration
+(:func:`enumerate_insertions` + :func:`arrival_times` +
+:func:`capacity_ok` + :func:`deadlines_met`), which is retained as the
+reference the kernel tests diff against.
 """
 
 from __future__ import annotations
@@ -246,293 +245,8 @@ def validate_stop_order(stops: Sequence[Stop]) -> None:
 
 
 # ----------------------------------------------------------------------
-# batched insertion evaluation (the matching hot-path kernel)
+# the production insertion scorer
 # ----------------------------------------------------------------------
-#: Per-m instance grids (pickup index, dropoff index, position map).
-#: They depend only on the pending-stop count, so one build serves the
-#: whole run.
-_GRID_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _insertion_grid(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(ii, jj, seq)`` instance grid for an ``m``-stop schedule.
-
-    ``seq[r, s]`` names which *extended* stop (``0..m-1`` original, ``m``
-    pick-up, ``m+1`` drop-off) sits at position ``s`` of instance ``r``'s
-    new stop list; rows are in :func:`enumerate_insertions` order
-    (pick-up index ascending, then drop-off index).
-    """
-    cached = _GRID_CACHE.get(m)
-    if cached is None:
-        ii, jj = np.triu_indices(m + 1)
-        col_i = ii[:, None]
-        col_j = jj[:, None]
-        pos = np.arange(m + 2)[None, :]
-        seq = np.where(
-            pos < col_i,
-            pos,
-            np.where(
-                pos == col_i,
-                m,
-                np.where(pos <= col_j, pos - 1, np.where(pos == col_j + 1, m + 1, pos - 2)),
-            ),
-        )
-        cached = (ii, jj, seq)
-        _GRID_CACHE[m] = cached  # repro-lint: disable=REP101 reason=pure memo keyed by stop count; value depends only on m
-    return cached
-
-
-@dataclass(frozen=True, slots=True)
-class InsertionBatch:
-    """Every insertion instance of one candidate, evaluated as arrays.
-
-    Rows are ordered exactly like :func:`enumerate_insertions` (pick-up
-    index ascending, then drop-off index), so ``argmin`` over the
-    feasible detours reproduces the scalar loop's first-minimum tie
-    handling.
-    """
-
-    #: Pick-up insertion index of each instance (``i`` of the scalar
-    #: enumeration).
-    pickup_idx: np.ndarray
-    #: Drop-off index in the *new* stop list (``j`` of the enumeration).
-    dropoff_idx: np.ndarray
-    #: Service time of the last stop of each instance (``inf`` when a
-    #: leg is unreachable).
-    last_arrival: np.ndarray
-    #: Deadline *and* capacity feasibility of each instance.
-    feasible: np.ndarray
-    _seq: np.ndarray
-    _ext_stops: tuple[Stop, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of instances evaluated: ``(m + 1)(m + 2) / 2``."""
-        return int(self.pickup_idx.size)
-
-    def stops_for(self, k: int) -> list[Stop]:
-        """Materialise the stop sequence of instance ``k``."""
-        return [self._ext_stops[int(e)] for e in self._seq[k]]
-
-
-@dataclass(frozen=True, slots=True)
-class GroupedInsertionBatch:
-    """Insertion instances of *several* candidates with equal ``m``.
-
-    ``last_arrival`` and ``feasible`` are ``(T, R)`` arrays — one row
-    per candidate, one column per insertion instance, columns in
-    :func:`enumerate_insertions` order.  Matching evaluates a whole
-    dispatch's candidate set with a handful of these (one per distinct
-    pending-schedule length) instead of one kernel call per taxi.
-    """
-
-    pickup_idx: np.ndarray
-    dropoff_idx: np.ndarray
-    last_arrival: np.ndarray
-    feasible: np.ndarray
-    _seq: np.ndarray
-    _pendings: tuple[tuple[Stop, ...], ...]
-    _pair: tuple[Stop, Stop]
-
-    @property
-    def size(self) -> int:
-        """Total instances evaluated: ``T * (m + 1)(m + 2) / 2``."""
-        return int(self.feasible.size)
-
-    def ext_stops(self, t: int) -> tuple[Stop, ...]:
-        """Candidate ``t``'s extended stop tuple (pending + pair)."""
-        return self._pendings[t] + self._pair
-
-    def stops_for(self, t: int, k: int) -> list[Stop]:
-        """Materialise instance ``k`` of candidate ``t``."""
-        ext = self.ext_stops(t)
-        return [ext[int(e)] for e in self._seq[k]]
-
-
-def evaluate_insertions_grouped(
-    engine: ShortestPathEngine,
-    start_nodes: Sequence[int],
-    start_times: Sequence[float],
-    pendings: Sequence[Sequence[Stop]],
-    request: RideRequest,
-    initial_onboards: Sequence[int],
-    capacities: Sequence[int],
-    slack_s: float = 1e-9,
-) -> GroupedInsertionBatch:
-    """Batched Algorithm-1 evaluation for ``T`` candidates sharing ``m``.
-
-    Every candidate must have the same pending-stop count ``m`` (the
-    caller groups by it).  For all ``T * (m + 1)(m + 2) / 2`` insertion
-    instances at once this computes the arrival-time vectors (one cached
-    cost-matrix gather over the involved vertices plus a cumulative sum,
-    which accumulates left to right exactly like the scalar
-    :func:`arrival_times` loop), the occupancy profiles, and the
-    deadline masks.  Costs, feasibility verdicts and the implied
-    minimum-detour choices are bit-identical to driving
-    :func:`enumerate_insertions` through :func:`arrival_times` /
-    :func:`capacity_ok` / :func:`deadlines_met` per taxi and instance.
-
-    ``engine`` is a :class:`~repro.network.shortest_path.ShortestPathEngine`
-    (anything with ``cost_matrix``).
-    """
-    pu, do = request_stop_pair(request)
-    pendings = tuple(tuple(p) for p in pendings)
-    t_count = len(pendings)
-    m = len(pendings[0])
-    ii, jj, seq = _insertion_grid(m)
-    r_count = ii.size
-
-    if m == 0:
-        # Idle candidates (the bulk of every dispatch) admit exactly one
-        # instance: pick-up then drop-off.  Two cost gathers and a few
-        # elementwise ops replace the general instance machinery; the
-        # arithmetic (sequential adds, same cost table entries) is the
-        # same, so results stay bit-identical.
-        if any(pendings):
-            raise ValueError("grouped candidates must share the pending-stop count")
-        srcs = np.empty(t_count + 1, dtype=np.int64)
-        srcs[:t_count] = start_nodes
-        srcs[t_count] = pu.node
-        ctab = engine.cost_matrix(srcs, [pu.node, do.node])
-        t_pu = np.asarray(start_times, dtype=np.float64) + ctab[:t_count, 0]
-        t_do = t_pu + ctab[t_count, 1]
-        onboard = np.asarray(initial_onboards, dtype=np.int64)
-        cap = np.asarray(capacities, dtype=np.int64)
-        occ_pu = onboard + pu.passenger_delta
-        occ_do = occ_pu + do.passenger_delta
-        over_pu = occ_pu > cap
-        over_do = occ_do > cap
-        if ((occ_pu < 0) | ((occ_do < 0) & ~over_pu)).any():
-            raise ValueError("schedule drops off passengers that were never aboard")
-        cap_ok = ~(over_pu | over_do)
-        dead_ok = (t_pu <= pu.deadline + slack_s) & (t_do <= do.deadline + slack_s)
-        return GroupedInsertionBatch(
-            pickup_idx=ii,
-            dropoff_idx=jj + 1,
-            last_arrival=t_do[:, None],
-            feasible=(cap_ok & dead_ok)[:, None],
-            _seq=seq,
-            _pendings=pendings,
-            _pair=(pu, do),
-        )
-
-    # Global vertex list: candidate starts, then each candidate's
-    # pending stops, then the shared pick-up/drop-off pair.
-    nodes = np.empty(t_count * (m + 1) + 2, dtype=np.int64)
-    nodes[:t_count] = start_nodes
-    ext_dead = np.empty((t_count, m + 2), dtype=np.float64)
-    ext_delta = np.empty((t_count, m + 2), dtype=np.int64)
-    for t, pending in enumerate(pendings):
-        if len(pending) != m:
-            raise ValueError("grouped candidates must share the pending-stop count")
-        base = t_count + t * m
-        for k, stop in enumerate(pending):
-            nodes[base + k] = stop.node
-            ext_dead[t, k] = stop.deadline
-            ext_delta[t, k] = stop.passenger_delta
-    pair_base = t_count + t_count * m
-    nodes[pair_base] = pu.node
-    nodes[pair_base + 1] = do.node
-    ext_dead[:, m] = pu.deadline
-    ext_dead[:, m + 1] = do.deadline
-    ext_delta[:, m] = pu.passenger_delta
-    ext_delta[:, m + 1] = do.passenger_delta
-
-    # One cached cost-matrix gather covers every leg of every instance
-    # of every candidate.
-    ctab = engine.cost_matrix(nodes, nodes)
-
-    # ext_map[t, e]: global position of candidate t's extended stop e.
-    ext_map = np.empty((t_count, m + 2), dtype=np.int64)
-    if m:
-        ext_map[:, :m] = t_count + m * np.arange(t_count)[:, None] + np.arange(m)[None, :]
-    ext_map[:, m] = pair_base
-    ext_map[:, m + 1] = pair_base + 1
-    node_pos = ext_map[:, seq]  # (T, R, m + 2)
-    prev_pos = np.empty_like(node_pos)
-    prev_pos[:, :, 0] = np.arange(t_count)[:, None]
-    prev_pos[:, :, 1:] = node_pos[:, :, :-1]
-
-    acc = np.empty((t_count, r_count, m + 3), dtype=np.float64)
-    acc[:, :, 0] = np.asarray(start_times, dtype=np.float64)[:, None]
-    acc[:, :, 1:] = ctab[prev_pos, node_pos]
-    times = np.cumsum(acc, axis=2)[:, :, 1:]
-
-    deltas = ext_delta[:, seq]  # (T, R, m + 2)
-    occupancy = np.asarray(initial_onboards, dtype=np.int64)[:, None, None] + np.cumsum(
-        deltas, axis=2
-    )
-    over = occupancy > np.asarray(capacities, dtype=np.int64)[:, None, None]
-    negative = occupancy < 0
-    if negative.any():
-        # The scalar loop raises when it reaches a negative occupancy
-        # before any over-capacity stop of the same instance.
-        prior_over = (np.cumsum(over, axis=2) - over) > 0
-        if (negative & ~prior_over).any():
-            raise ValueError("schedule drops off passengers that were never aboard")
-    cap_ok = ~over.any(axis=2)
-    dead_ok = (times <= ext_dead[:, seq] + slack_s).all(axis=2)
-
-    return GroupedInsertionBatch(
-        pickup_idx=ii,
-        dropoff_idx=jj + 1,
-        last_arrival=times[:, :, -1],
-        feasible=cap_ok & dead_ok,
-        _seq=seq,
-        _pendings=pendings,
-        _pair=(pu, do),
-    )
-
-
-def evaluate_insertions(
-    engine: ShortestPathEngine,
-    start_node: int,
-    start_time: float,
-    pending: Sequence[Stop],
-    request: RideRequest,
-    initial_onboard: int,
-    capacity: int,
-    slack_s: float = 1e-9,
-) -> InsertionBatch:
-    """Batched Algorithm-1 instance evaluation for one candidate taxi.
-
-    The single-candidate view of :func:`evaluate_insertions_grouped`;
-    bit-identical to the scalar :func:`enumerate_insertions` /
-    :func:`arrival_times` / :func:`capacity_ok` / :func:`deadlines_met`
-    reference path.
-    """
-    pending = tuple(pending)
-    grouped = evaluate_insertions_grouped(
-        engine,
-        [start_node],
-        [start_time],
-        [pending],
-        request,
-        [initial_onboard],
-        [capacity],
-        slack_s,
-    )
-    return InsertionBatch(
-        pickup_idx=grouped.pickup_idx,
-        dropoff_idx=grouped.dropoff_idx,
-        last_arrival=grouped.last_arrival[0],
-        feasible=grouped.feasible[0],
-        _seq=grouped._seq,
-        _ext_stops=grouped.ext_stops(0),
-    )
-
-
-# ----------------------------------------------------------------------
-# tight small-batch path
-# ----------------------------------------------------------------------
-# The array kernels above pay a fixed per-call numpy dispatch cost
-# (~30 ops regardless of batch size), which dominates when a dispatch
-# only evaluates a few dozen insertion instances.  Below that break-even
-# the matcher uses this tight scalar walk over cached distance-row
-# views instead; above it the grouped kernels win and keep winning as
-# the batch grows.  Both produce the scalar reference's results bit for
-# bit (the tests diff all three).
-
 #: Per-m instance sequences as plain Python tuples, enumeration order.
 _SEQ_TUPLE_CACHE: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
 
@@ -546,10 +260,10 @@ def _insertion_sequences(m: int) -> list[tuple[int, int, tuple[int, ...]]]:
     """
     cached = _SEQ_TUPLE_CACHE.get(m)
     if cached is None:
-        ii, jj, seq = _insertion_grid(m)
         cached = [
-            (int(i), int(j) + 1, tuple(int(e) for e in row))
-            for i, j, row in zip(ii, jj, seq)
+            (i, j + 1, (*range(i), m, *range(i, j), m + 1, *range(j, m)))
+            for i in range(m + 1)
+            for j in range(i, m + 1)
         ]
         _SEQ_TUPLE_CACHE[m] = cached  # repro-lint: disable=REP101 reason=pure memo keyed by stop count; value depends only on m
     return cached
@@ -562,8 +276,9 @@ def materialize_insertion(
 
     ``(i, j)`` follows the :func:`enumerate_insertions` convention:
     pick-up at index ``i``, drop-off at index ``j`` of the new list.
-    Lets callers that only track winning indices (the batched and tight
-    evaluation paths) build the one stop list they actually install.
+    Lets callers that only track winning indices (every caller of
+    :func:`score_insertions_tight`) build the one stop list they
+    actually install.
     """
     pu, do = request_stop_pair(request)
     jo = j - 1
@@ -587,18 +302,18 @@ def score_insertions_tight(
     initial_onboard, capacity)`` tuple per candidate; the return value
     lists ``(index, last_arrival, i, j)`` for every candidate with a
     feasible instance, where ``(i, j)`` is the first minimum-arrival
-    instance in :func:`enumerate_insertions` order — the instance
-    :func:`evaluate_insertions` + ``argmin`` selects.  Arrival times
+    instance in :func:`enumerate_insertions` order.  Arrival times
     accumulate left to right with the exact operations of
     :func:`arrival_times` over ``engine.cost``, capacity follows
     :func:`capacity_ok` (including its ``ValueError`` on impossible
-    drop-offs), and deadlines follow :func:`deadlines_met`, so the
-    verdicts are bit-identical to the scalar reference and to the
-    array kernels.
+    drop-offs), and deadlines follow :func:`deadlines_met`, so costs
+    and verdicts are bit-identical to the scalar reference.
 
     Distance rows are fetched once per distinct vertex and shared
-    across the whole candidate set, so a small dispatch costs a few
-    dozen ``row.item`` reads — no numpy call overhead at all.
+    across the whole candidate set, so a dispatch costs one
+    ``row.item`` read per hop — no per-call numpy overhead.  Every
+    insertion decision in the program (greedy dispatch, the window's
+    busy fill, offline encounters) goes through this one walk.
     """
     pu, do = request_stop_pair(request)
     pu_node = pu.node
@@ -720,29 +435,3 @@ def score_insertions_tight(
             out.append((idx, best_last, best_i, best_j))
     return out
 
-
-def best_insertion_tight(
-    engine: ShortestPathEngine,
-    start_node: int,
-    start_time: float,
-    pending: Sequence[Stop],
-    request: RideRequest,
-    initial_onboard: int,
-    capacity: int,
-    slack_s: float = 1e-9,
-) -> tuple[float, int, int] | None:
-    """Single-candidate view of :func:`score_insertions_tight`.
-
-    Returns ``(last_arrival, i, j)`` of the best feasible instance or
-    ``None`` when no instance is feasible.
-    """
-    res = score_insertions_tight(
-        engine,
-        [(start_node, start_time, tuple(pending), initial_onboard, capacity)],
-        request,
-        slack_s,
-    )
-    if not res:
-        return None
-    _idx, last, i, j = res[0]
-    return last, i, j

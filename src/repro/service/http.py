@@ -106,7 +106,11 @@ def _make_handler(state: ServiceState) -> type[BaseHTTPRequestHandler]:
                     return
                 outcome = state.service.submit(request)
                 if outcome.accepted:
-                    state.service.pump()
+                    # Only the events due by this release: an unbounded
+                    # pump would fire future window/rebalance ticks and
+                    # reject every later request as late.
+                    admitted = outcome.request if outcome.request is not None else request
+                    state.service.pump(until=admitted.release_time)
                 self._reply(
                     200 if outcome.accepted else 429 if outcome.reason == "backpressure" else 409,
                     {

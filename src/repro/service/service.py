@@ -216,10 +216,14 @@ class DispatchService:
     ) -> SimulationMetrics:
         """Feed an entire source through the service and finish.
 
-        ``pump_every=k`` dispatches queued events after every ``k``-th
-        admitted request (eager, bounded queue); ``None`` defers all
-        dispatching to :meth:`finish` (the queue then holds the whole
-        admitted stream, exactly like batch ``run()``).
+        ``pump_every=k`` dispatches the events due by the latest
+        admitted request's release time after every ``k``-th admitted
+        request (eager, bounded queue); ``None`` defers all dispatching
+        to :meth:`finish` (the queue then holds the whole admitted
+        stream, exactly like batch ``run()``).  The bound matters: an
+        unbounded pump would fire future ``window.tick`` /
+        ``rebalance.tick`` events, move the clock past the next
+        release and get every later request rejected as late.
         """
         if pump_every is not None and pump_every < 1:
             raise ValueError("pump_every must be a positive int or None")
@@ -231,7 +235,8 @@ class DispatchService:
                 and pump_every is not None
                 and self._admitted % pump_every == 0
             ):
-                self.pump()
+                admitted = outcome.request if outcome.request is not None else request
+                self.pump(until=admitted.release_time)
         return self.finish()
 
 

@@ -150,3 +150,21 @@ def test_full_taxi_returns_none():
                      direct_cost=grid_cost(3, 47), rho=2.0)
     assert best_insertion_dp(0, 0.0, [], r, grid_cost, capacity=1,
                              initial_onboard=1) is None
+
+
+def test_late_base_stop_matches_enumeration():
+    # A traffic shock has already made the onboard rider late: the
+    # enumeration rejects every instance, because none makes that
+    # drop-off earlier.  The DP only re-checks stops from the pick-up
+    # position on, so an append after the late stop must not slip by.
+    from repro.demand.request import RideRequest
+    from repro.fleet.schedule import dropoff
+
+    late = RideRequest(request_id=50, release_time=0.0, origin=5, destination=9,
+                       deadline=40.0, direct_cost=grid_cost(5, 9))
+    stops = [dropoff(late)]
+    request = make_request(request_id=1, origin=9, destination=19,
+                           direct_cost=grid_cost(9, 19), rho=50.0)
+    expected = reference_best(0, 0.0, stops, request, grid_cost, 4, 1)
+    assert expected is None
+    assert best_insertion_dp(0, 0.0, stops, request, grid_cost, 4, 1) is None

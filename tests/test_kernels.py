@@ -1,11 +1,12 @@
 """Kernel-equivalence property tests.
 
-The PR-2 array kernels (batched cost queries, batched insertion
-evaluation, CSR-subgraph restricted Dijkstra) must be *bit-identical*
-to the retained scalar reference paths: same costs, same feasibility
-masks, same chosen schedules.  Every test here drives both paths over
-randomized small networks and diffs the results exactly — no
-``approx`` — in both ``full`` and ``lazy`` engine modes.
+The fast paths (batched cost queries, the distance-row insertion
+scorer and every entry point over it, CSR-subgraph restricted
+Dijkstra) must be *bit-identical* to the retained scalar reference
+paths: same costs, same feasibility verdicts, same chosen schedules.
+Every test here drives both paths over randomized small networks and
+diffs the results exactly — no ``approx`` — in the ``full``, ``lazy``
+and ``ch`` engine modes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.matching as matching_mod
+from repro.baselines.base import DispatchScheme
+from repro.config import SystemConfig
 from repro.core.matching import Matcher
 from repro.core.mobility_cluster import (
     ZERO_UNIT,
@@ -22,18 +24,18 @@ from repro.core.mobility_cluster import (
     direction_unit,
     unit_similarity,
 )
-from repro.core.routing import BasicRouter, compose_route
+from repro.core.routing import BasicRouter, RouteInfeasible, compose_route
 from repro.demand.request import RideRequest
 from repro.fleet.schedule import (
+    _insertion_sequences,
     arrival_times,
-    best_insertion_tight,
     capacity_ok,
     deadlines_met,
     dropoff,
     enumerate_insertions,
-    evaluate_insertions,
     materialize_insertion,
     pickup,
+    request_stop_pair,
     score_insertions_tight,
 )
 from repro.network.generators import grid_city
@@ -55,7 +57,7 @@ def net():
     return grid_city(rows=7, cols=7, spacing_m=140.0, seed=17)
 
 
-@pytest.fixture(scope="module", params=["full", "lazy"])
+@pytest.fixture(scope="module", params=["full", "lazy", "ch"])
 def engine(request, net):
     return ShortestPathEngine(net, mode=request.param)
 
@@ -98,6 +100,25 @@ def _random_pending(rng, net, engine, base_rid):
     return stops, onboard
 
 
+def _scalar_best(engine, start, t0, pending, request, onboard, capacity):
+    """Scalar reference: first minimum-arrival feasible instance.
+
+    Drives :func:`enumerate_insertions` through :func:`capacity_ok`,
+    :func:`arrival_times` and :func:`deadlines_met` one instance at a
+    time and returns ``(last_arrival, i, j)``, or ``None``.
+    """
+    best = None
+    for i, j, stops in enumerate_insertions(pending, request):
+        if not capacity_ok(stops, onboard, capacity):
+            continue
+        times = arrival_times(start, t0, stops, engine.cost)
+        if not deadlines_met(stops, times):
+            continue
+        if best is None or times[-1] < best[0]:
+            best = (times[-1], i, j)
+    return best
+
+
 # ----------------------------------------------------------------------
 # batched cost queries
 # ----------------------------------------------------------------------
@@ -130,11 +151,12 @@ class TestBatchedCosts:
 
 
 # ----------------------------------------------------------------------
-# batched insertion evaluation
+# batched insertion scoring (one walk over a whole candidate set)
 # ----------------------------------------------------------------------
 class TestBatchedInsertions:
     def test_matches_scalar_reference(self, net, engine):
         rng = np.random.default_rng(3)
+        found = 0
         for trial in range(60):
             pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
             request = _random_request(rng, net, engine, rid=trial * 10 + 9)
@@ -142,42 +164,54 @@ class TestBatchedInsertions:
             t0 = float(rng.uniform(0.0, 100.0))
             capacity = int(rng.integers(max(1, onboard + 1), 7))
 
-            batch = evaluate_insertions(
-                engine, start, t0, pending, request, onboard, capacity
-            )
+            # The scorer's instance table is the enumeration, in order.
             rows = list(enumerate_insertions(pending, request))
-            assert batch.size == len(rows)
-            for k, (i, j, stops) in enumerate(rows):
-                assert int(batch.pickup_idx[k]) == i
-                assert int(batch.dropoff_idx[k]) == j
-                assert batch.stops_for(k) == stops
-                times = arrival_times(start, t0, stops, engine.cost)
-                assert batch.last_arrival[k] == times[-1]
-                ok = capacity_ok(stops, onboard, capacity) and deadlines_met(stops, times)
-                assert bool(batch.feasible[k]) == ok
+            seqs = _insertion_sequences(len(pending))
+            assert len(seqs) == len(rows)
+            ext = tuple(pending) + request_stop_pair(request)
+            for (i, j, stops), (si, sj, positions) in zip(rows, seqs):
+                assert (si, sj) == (i, j)
+                assert [ext[p] for p in positions] == stops
+
+            # Its verdict: the scalar reference's winner, bit for bit.
+            out = score_insertions_tight(
+                engine, [(start, t0, pending, onboard, capacity)], request
+            )
+            ref = _scalar_best(engine, start, t0, pending, request, onboard, capacity)
+            assert out == ([] if ref is None else [(0, *ref)])
+            if ref is not None:
+                found += 1
+        assert found > 0
 
     def test_negative_occupancy_raises_like_scalar(self, net, engine):
         rng = np.random.default_rng(4)
         r1 = _random_request(rng, net, engine, rid=1)
         request = _random_request(rng, net, engine, rid=2)
-        # Drop-off with nobody aboard: scalar capacity_ok raises.
+        # Drop-off with nobody aboard: scalar capacity_ok raises, and so
+        # does the scorer even when the bad candidate sits among good ones.
         pending = [dropoff(r1)]
         with pytest.raises(ValueError):
-            evaluate_insertions(engine, 0, 0.0, pending, request, 0, 4)
+            capacity_ok(pending, 0, 4)
+        with pytest.raises(ValueError):
+            score_insertions_tight(
+                engine, [(0, 0.0, [], 0, 4), (0, 0.0, pending, 0, 4)], request
+            )
 
 
 # ----------------------------------------------------------------------
-# matcher-level choice equivalence
+# matcher- and scheme-level choice equivalence
 # ----------------------------------------------------------------------
 class _FakeTaxi:
-    """Just enough taxi surface for ``Matcher._best_insertion``."""
+    """Just enough taxi surface for the matcher's and schemes' scorers."""
 
-    def __init__(self, node, ready, pending, onboard, capacity):
+    def __init__(self, node, ready, pending, onboard, capacity, taxi_id=0):
         self._node = node
         self._ready = ready
         self._pending = pending
         self.occupancy = onboard
+        self.committed = onboard
         self.capacity = capacity
+        self.taxi_id = taxi_id
 
     def position_at(self, now):
         return self._node, self._ready
@@ -189,33 +223,83 @@ class _FakeTaxi:
         return 0.0
 
 
+class _OneTaxiScheme(DispatchScheme):
+    """A concrete scheme exposing the base ``generic_insertion``."""
+
+    def dispatch(self, request, now):
+        return None
+
+
+def _bare_matcher(net, engine):
+    matcher = Matcher.__new__(Matcher)
+    matcher._engine = engine
+    matcher._obs = NULL
+    matcher._basic = BasicRouter(net, engine)
+    return matcher
+
+
+def _random_taxi(rng, net, engine, trial):
+    pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
+    return _FakeTaxi(
+        node=int(rng.integers(net.num_vertices)),
+        ready=float(rng.uniform(0.0, 100.0)),
+        pending=pending,
+        onboard=onboard,
+        capacity=int(rng.integers(max(1, onboard + 1), 7)),
+        taxi_id=trial,
+    )
+
+
 class TestMatcherEquivalence:
     def test_best_insertion_matches_scalar(self, net, engine):
-        matcher = Matcher.__new__(Matcher)
-        matcher._engine = engine
-        matcher._obs = NULL
+        matcher = _bare_matcher(net, engine)
         rng = np.random.default_rng(5)
         chosen = 0
         for trial in range(60):
-            pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
+            taxi = _random_taxi(rng, net, engine, trial)
             request = _random_request(rng, net, engine, rid=trial * 10 + 9)
-            taxi = _FakeTaxi(
-                node=int(rng.integers(net.num_vertices)),
-                ready=float(rng.uniform(0.0, 100.0)),
-                pending=pending,
-                onboard=onboard,
-                capacity=int(rng.integers(max(1, onboard + 1), 7)),
+            node, ready = taxi.position_at(0.0)
+            scored = matcher.score_insertions_for(
+                [(taxi, node, ready, taxi.pending_stops())], request
             )
-            batched = matcher._best_insertion(taxi, request, now=0.0)
             scalar = matcher._best_insertion_scalar(taxi, request, now=0.0)
             if scalar is None:
-                assert batched is None
+                assert scored == []
                 continue
             chosen += 1
-            assert batched is not None
-            assert batched[0] == scalar[0]  # detour, bit-identical
-            assert batched[1] == scalar[1]  # chosen stop sequence
+            [(detour, _taxi, build_stops)] = scored
+            assert detour == scalar[0]  # detour, bit-identical
+            assert build_stops() == scalar[1]  # chosen stop sequence
         assert chosen > 0  # the fuzz actually exercised feasible cases
+
+    def test_single_taxi_paths_choose_scalar_instance(self, net, engine):
+        # The offline-encounter paths — ``Matcher.insertion_for_taxi``
+        # and ``DispatchScheme.generic_insertion`` — install the scalar
+        # reference's instance (or refuse when its route cannot be met).
+        matcher = _bare_matcher(net, engine)
+        scheme = _OneTaxiScheme(net, engine, SystemConfig())
+        router = BasicRouter(net, engine)
+        rng = np.random.default_rng(16)
+        installed = 0
+        for trial in range(60):
+            taxi = _random_taxi(rng, net, engine, trial)
+            request = _random_request(rng, net, engine, rid=trial * 10 + 9)
+            scalar = matcher._best_insertion_scalar(taxi, request, now=0.0)
+            for result in (
+                matcher.insertion_for_taxi(taxi, request, now=0.0),
+                scheme.generic_insertion(taxi, request, now=0.0),
+            ):
+                if scalar is None:
+                    assert result is None
+                elif result is None:
+                    node, ready = taxi.position_at(0.0)
+                    with pytest.raises(RouteInfeasible):
+                        router.route_for_schedule(node, ready, scalar[1])
+                else:
+                    installed += 1
+                    assert list(result.stops) == scalar[1]
+                    assert result.taxi_id == taxi.taxi_id
+        assert installed > 0
 
 
 # ----------------------------------------------------------------------
@@ -301,20 +385,9 @@ class TestRestrictedDijkstra:
 # tight small-dispatch insertion walk
 # ----------------------------------------------------------------------
 class TestTightInsertion:
-    def _reference_best(self, engine, start, t0, pending, request, onboard, capacity):
-        """First-minimum feasible instance via the batched kernel."""
-        batch = evaluate_insertions(engine, start, t0, pending, request, onboard, capacity)
-        feasible = np.flatnonzero(batch.feasible)
-        if feasible.size == 0:
-            return None
-        k = int(feasible[np.argmin(batch.last_arrival[feasible])])
-        return (
-            float(batch.last_arrival[k]),
-            int(batch.pickup_idx[k]),
-            int(batch.dropoff_idx[k]),
-        )
-
-    def test_matches_batched_kernel(self, net, engine):
+    def test_matches_scalar_reference(self, net, engine):
+        # Tight capacities on purpose: most draws fail the scorer's
+        # capacity precheck, so the per-instance capacity walk runs.
         rng = np.random.default_rng(7)
         found = 0
         for trial in range(60):
@@ -322,14 +395,13 @@ class TestTightInsertion:
             request = _random_request(rng, net, engine, rid=trial * 10 + 9)
             start = int(rng.integers(net.num_vertices))
             t0 = float(rng.uniform(0.0, 100.0))
-            capacity = int(rng.integers(max(1, onboard + 1), 7))
-            tight = best_insertion_tight(
-                engine, start, t0, pending, request, onboard, capacity
+            capacity = int(rng.integers(max(1, onboard + 1), onboard + 3))
+            out = score_insertions_tight(
+                engine, [(start, t0, pending, onboard, capacity)], request
             )
-            ref = self._reference_best(
-                engine, start, t0, pending, request, onboard, capacity
-            )
-            assert tight == ref  # last arrival bit-identical, same (i, j)
+            ref = _scalar_best(engine, start, t0, pending, request, onboard, capacity)
+            # Last arrival bit-identical, same (i, j).
+            assert out == ([] if ref is None else [(0, *ref)])
             if ref is not None:
                 found += 1
         assert found > 0
@@ -346,17 +418,10 @@ class TestTightInsertion:
             capacity = int(rng.integers(max(1, onboard + 1), 7))
             starts.append((start, t0, pending, onboard, capacity))
             refs.append(
-                self._reference_best(
-                    engine, start, t0, pending, request, onboard, capacity
-                )
+                _scalar_best(engine, start, t0, pending, request, onboard, capacity)
             )
         out = score_insertions_tight(engine, starts, request)
-        expected = [
-            (idx, last, i, j)
-            for idx, ref in enumerate(refs)
-            if ref is not None
-            for last, i, j in [ref]
-        ]
+        expected = [(idx, *ref) for idx, ref in enumerate(refs) if ref is not None]
         assert out == expected
 
     def test_negative_occupancy_raises_like_scalar(self, net, engine):
@@ -364,7 +429,7 @@ class TestTightInsertion:
         r1 = _random_request(rng, net, engine, rid=1)
         request = _random_request(rng, net, engine, rid=2)
         with pytest.raises(ValueError):
-            best_insertion_tight(engine, 0, 0.0, [dropoff(r1)], request, 0, 4)
+            score_insertions_tight(engine, [(0, 0.0, [dropoff(r1)], 0, 4)], request)
         # Idle-taxi special case: a negative initial occupancy raises
         # exactly like the scalar capacity walk.
         with pytest.raises(ValueError):
@@ -433,37 +498,31 @@ class TestDirectionUnits:
 
 
 # ----------------------------------------------------------------------
-# adaptive scorer tiers (tight walk vs grouped kernels)
+# scorer entry points (greedy dispatch, window fill) vs the scalar path
 # ----------------------------------------------------------------------
 class TestScorerTierEquivalence:
-    def test_tiers_agree_on_whole_dispatch(self, net, engine, monkeypatch):
-        matcher = Matcher.__new__(Matcher)
-        matcher._engine = engine
-        matcher._obs = NULL
+    def test_tiers_agree_on_whole_dispatch(self, net, engine):
+        matcher = _bare_matcher(net, engine)
         rng = np.random.default_rng(13)
         request = _random_request(rng, net, engine, rid=888)
-        candidates = []
-        for trial in range(10):
-            pending, onboard = _random_pending(rng, net, engine, base_rid=trial * 10)
-            taxi = _FakeTaxi(
-                node=int(rng.integers(net.num_vertices)),
-                ready=float(rng.uniform(0.0, 100.0)),
-                pending=pending,
-                onboard=onboard,
-                capacity=int(rng.integers(max(1, onboard + 1), 7)),
-            )
-            taxi.taxi_id = trial
-            candidates.append(taxi)
+        candidates = [_random_taxi(rng, net, engine, trial) for trial in range(10)]
 
-        def run(threshold):
-            monkeypatch.setattr(matching_mod, "TIGHT_INSERTION_MAX", threshold)
-            scored = matcher._score_candidates(candidates, request, now=0.0)
-            return [(d, t.taxi_id, build()) for d, t, build in scored]
-
-        tight = run(10**9)  # everything through the tight walk
-        grouped = run(0)  # everything through the grouped kernels
-        assert tight == grouped
-        assert len(tight) > 0
+        greedy = [
+            (d, t.taxi_id, build())
+            for d, t, build in matcher._score_candidates(candidates, request, now=0.0)
+        ]
+        items = [(t, *t.position_at(0.0), t.pending_stops()) for t in candidates]
+        window = sorted(
+            (d, t.taxi_id, build())
+            for d, t, build in matcher.score_insertions_for(items, request)
+        )
+        scalar = sorted(
+            (best[0], t.taxi_id, best[1])
+            for t in candidates
+            if (best := matcher._best_insertion_scalar(t, request, now=0.0)) is not None
+        )
+        assert greedy == window == scalar
+        assert len(greedy) > 0
 
 
 # ----------------------------------------------------------------------

@@ -327,6 +327,56 @@ class TestCompactMode:
         mc.check_balance()
 
 
+class TestWindowedReplay:
+    """Eager pumping under a scheme with future kernel ticks.
+
+    ``window-lap`` arms ``window.tick`` events ahead of the clock; an
+    unbounded pump after each submission would fire them early, move
+    the clock past the next release and reject every later request as
+    late.  Both eager paths must pump only to the admitted release.
+    """
+
+    WINDOW_S = 30.0
+
+    def _sim(self, scenario, workload):
+        config = scenario.default_config(dispatch_window_s=self.WINDOW_S)
+        return Simulator(
+            scenario.make_scheme("window-lap", config=config),
+            scenario.make_fleet(15, seed=1),
+            workload,
+            payment=PaymentModel(),
+        )
+
+    @pytest.fixture(scope="class")
+    def batch(self, svc_scenario):
+        return self._sim(svc_scenario, svc_scenario.requests()).run()
+
+    def test_eager_replay_matches_batch(self, svc_scenario, batch):
+        service = DispatchService(self._sim(svc_scenario, []))
+        sm = service.replay(iter(svc_scenario.requests()), pump_every=1)
+        assert service.rejections == {}
+        assert decision_fingerprint(sm) == decision_fingerprint(batch)
+        assert _decision_summary(sm) == _decision_summary(batch)
+
+    def test_http_submissions_match_batch(self, svc_scenario, batch):
+        service = DispatchService(self._sim(svc_scenario, []))
+        server, state = make_server(service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
+        try:
+            for r in svc_scenario.requests():
+                code, body = TestHTTPEndpoint._post(base, "/requests", request_to_dict(r))
+                assert code == 200 and body["accepted"], body
+            code, _body = TestHTTPEndpoint._post(base, "/finish", {})
+            assert code == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert decision_fingerprint(service.sim.metrics) == decision_fingerprint(batch)
+
+
 class TestHTTPEndpoint:
     @pytest.fixture()
     def server(self, svc_scenario):
