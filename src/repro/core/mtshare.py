@@ -93,8 +93,8 @@ class MTShare(DispatchScheme):
                 lam=config.lam,
                 max_attempts=config.max_probabilistic_attempts,
                 steering_m=config.prob_steering_m,
+                demand_predictor=demand_predictor,
             )
-            self._prob_router.demand_predictor = demand_predictor
             self.name = "mT-Share-pro"
         self._pindex = PartitionTaxiIndex(
             self._landmarks.num_partitions, horizon_s=config.index_horizon_s

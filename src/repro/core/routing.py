@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from ..obs import NULL, Instrumentation
 from ..partitioning.transition import TransitionModel
 from .mobility_cluster import MobilityVector
 from .partition_filter import PartitionFilter
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..demand.prediction import DemandPredictor
 
 #: Floor applied to psi_c so 1/psi_c vertex weights stay finite.
 MIN_PSI = 1e-6
@@ -51,6 +55,20 @@ CORRIDOR_EXTRA_HOPS = 3
 #: resets (a path plus its per-edge costs is tens of machine words, so
 #: the cap bounds the cache around a few tens of MB worst case).
 LEG_CACHE_SIZE = 65536
+
+
+#: Memo key of the zero direction (a cruise has no heading).  The 16
+#: compass sectors are 0..15, so the zero vector gets a key of its own
+#: instead of sharing sector 0 with real west-heading directions.
+ZERO_SECTOR = 16
+
+
+def _sector(direction: tuple[float, float]) -> int:
+    """Memo key of a travel direction: one of 16 sectors, or ZERO_SECTOR."""
+    dx, dy = direction
+    if dx == 0.0 and dy == 0.0:
+        return ZERO_SECTOR
+    return int(8.0 * (1.0 + math.atan2(dy, dx) / math.pi)) % 16
 
 
 class RouteInfeasible(RuntimeError):
@@ -252,6 +270,19 @@ class BasicRouter:
 class ProbabilisticRouter(BasicRouter):
     """Probabilistic routing (Algorithm 4).
 
+    Every score Algorithm 4 needs comes from the *historical* transition
+    model, so for a given partition and quantised travel direction it
+    never changes.  The router therefore memoises each per-leg step on
+    the instance, keyed by exactly what the value depends on:
+
+    * suitable destinations and ``psi`` per ``(partition, sector)``;
+    * ranked corridors per ``(pz, pz1, sector)``;
+    * vertex-weight arrays per ``(corridor, sector)``;
+    * cruise targets per ``(start partition, hour, max duration)``.
+
+    A sector memo is filled by the first direction that reaches it, so
+    later directions in the same sector reuse that answer.
+
     Parameters
     ----------
     transition_model:
@@ -262,6 +293,10 @@ class ProbabilisticRouter(BasicRouter):
         make an offline request *suitable* for the taxi.
     max_attempts:
         Corridor retries before giving up on a leg (paper: 5).
+    demand_predictor:
+        Optional hour-aware demand predictor; when set, cruising
+        targets the partitions that are hot at the current hour
+        instead of hot on average.
     """
 
     def __init__(
@@ -273,6 +308,7 @@ class ProbabilisticRouter(BasicRouter):
         lam: float = 0.707,
         max_attempts: int = 5,
         steering_m: float = 120.0,
+        demand_predictor: DemandPredictor | None = None,
     ) -> None:
         if partition_filter is None:
             raise ValueError("probabilistic routing requires a partition filter")
@@ -281,11 +317,26 @@ class ProbabilisticRouter(BasicRouter):
         self._lam = float(lam)
         self._max_attempts = int(max_attempts)
         self._steering_m = max(0.0, float(steering_m))
-        #: Optional hour-aware demand predictor; when set, cruising
-        #: targets the partitions that are hot at the current hour
-        #: instead of hot on average.
-        self.demand_predictor = None
-        self._pd_cache: dict[tuple[int, int, int], list[int]] = {}
+        self._predictor = demand_predictor
+        lg = partition_filter.landmark_graph
+        self._demand_share = [
+            sum(transition_model.pickup_frequency(v) for v in lg.members(z))
+            for z in range(lg.num_partitions)
+        ]
+        self._hot_vertex = [
+            max(lg.members(z), key=transition_model.pickup_count)
+            for z in range(lg.num_partitions)
+        ]
+        self._pd_cache: dict[tuple[int, int], list[int]] = {}
+        self._psi_cache: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        self._corridor_cache: dict[tuple[int, int, int], list[list[int]]] = {}
+        self._weight_cache: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+        self._cruise_cache: dict[tuple[int, int, float], tuple[list[int], np.ndarray]] = {}
+
+    @property
+    def demand_predictor(self) -> DemandPredictor | None:
+        """The hour-aware demand predictor steering cruises, if any."""
+        return self._predictor
 
     # ------------------------------------------------------------------
     # step 1: suitability probabilities
@@ -299,17 +350,12 @@ class ProbabilisticRouter(BasicRouter):
         direction (landmark of ``P_i`` to the destination partition's
         landmark) is aligned with the taxi's direction.
         """
-        lg = self._filter.landmark_graph
-        # Quantise the direction into 16 sectors so the cache is effective.
-        dx, dy = direction
-        if dx == 0.0 and dy == 0.0:
-            sector = 0
-        else:
-            sector = int(8.0 * (1.0 + math.atan2(dy, dx) / math.pi)) % 16
-        key = (pi, sector)
+        key = (pi, _sector(direction))
         cached = self._pd_cache.get(key)
         if cached is not None:
             return cached
+        lg = self._filter.landmark_graph
+        dx, dy = direction
         ix, iy = lg.landmark_xy(pi)
         out: list[int] = []
         for pa in range(lg.num_partitions):
@@ -327,10 +373,47 @@ class ProbabilisticRouter(BasicRouter):
         lg = self._filter.landmark_graph
         return self._model.partition_probability(lg.members(pi), dests)
 
+    def _psi(self, pi: int, direction: tuple[float, float]) -> list[tuple[int, float]]:
+        """``(c, psi_c)`` for every member vertex ``c`` of ``P_i``, memoised."""
+        key = (pi, _sector(direction))
+        cached = self._psi_cache.get(key)
+        if cached is not None:
+            return cached
+        dests = self._suitable_destinations(pi, direction)
+        model = self._model
+        # psi_c: chance of a *suitable* request materialising at c — the
+        # accumulated transition probability towards the suitable
+        # destinations, weighted by how much pick-up demand c generates.
+        cached = [
+            (c, max(model.mass_to(c, dests) * model.relative_pickup_frequency(c), MIN_PSI))
+            for c in self._filter.landmark_graph.members(pi)
+        ]
+        self._psi_cache[key] = cached
+        return cached
+
     # ------------------------------------------------------------------
     # step 2: max-weight landmark paths
     # ------------------------------------------------------------------
     def _corridors(
+        self, pz: int, pz1: int, direction: tuple[float, float]
+    ) -> list[list[int]]:
+        """Ranked partition corridors from ``pz`` to ``pz1``, memoised.
+
+        Scores every partition retained by Algorithm 2 with
+        :meth:`partition_probability` and enumerates the best landmark
+        paths through them.  Callers must not mutate the result.
+        """
+        key = (pz, pz1, _sector(direction))
+        cached = self._corridor_cache.get(key)
+        if cached is not None:
+            return cached
+        retained = self._filter.filter_partitions(pz, pz1)
+        weight = {pi: self.partition_probability(pi, direction) for pi in retained}
+        cached = self._enumerate_corridors(retained, pz, pz1, weight)
+        self._corridor_cache[key] = cached
+        return cached
+
+    def _enumerate_corridors(
         self,
         retained: list[int],
         pz: int,
@@ -393,30 +476,21 @@ class ProbabilisticRouter(BasicRouter):
     # ------------------------------------------------------------------
     # step 3: fine-grained vertex-weighted routing
     # ------------------------------------------------------------------
-    def _weighted_leg(
-        self,
-        u: int,
-        v: int,
-        corridor: list[int],
-        direction: tuple[float, float],
-    ) -> list[int] | None:
-        """Vertex-weighted shortest path inside the corridor partitions."""
-        lg = self._filter.landmark_graph
-        # The memoised frozenset keys the induced-subgraph LRU in
-        # ``dijkstra_restricted``: repeated legs through the same
-        # corridor reuse the cached CSR submatrix.
-        allowed = self._filter.corridor_vertices(corridor)
+    def _leg_weights(
+        self, corridor: list[int], direction: tuple[float, float]
+    ) -> np.ndarray:
+        """Vertex weights of a corridor, in ascending vertex order, memoised.
+
+        The order is that of :func:`dijkstra_restricted`'s induced
+        subgraph over :meth:`PartitionFilter.corridor_vertices`.
+        """
+        key = (tuple(corridor), _sector(direction))
+        cached = self._weight_cache.get(key)
+        if cached is not None:
+            return cached
         psi: dict[int, float] = {}
         for pi in corridor:
-            dests = self._suitable_destinations(pi, direction)
-            for c in lg.members(pi):
-                # psi_c: chance of a *suitable* request materialising at
-                # c — the accumulated transition probability towards the
-                # suitable destinations, weighted by how much pick-up
-                # demand c actually generates.
-                mass = self._model.mass_to(c, dests)
-                demand = self._model.relative_pickup_frequency(c)
-                psi[c] = max(mass * demand, MIN_PSI)
+            psi.update(self._psi(pi, direction))
         # The paper weights vertex c by 1/psi_c.  Raw reciprocals can be
         # astronomically large for never-observed vertices and would make
         # Dijkstra chase any observed vertex regardless of distance, so
@@ -428,28 +502,70 @@ class ProbabilisticRouter(BasicRouter):
         # tiny (they always are: psi is a per-trip probability).
         psi_max = max(psi.values(), default=MIN_PSI)
         scale = self._network.meters_to_seconds(self._steering_m)
+        cached = np.array(
+            [
+                scale * (1.0 - psi.get(c, 0.0) / psi_max)
+                for c in sorted(self._filter.corridor_vertices(corridor))
+            ],
+            dtype=np.float64,
+        )
+        self._weight_cache[key] = cached
+        return cached
 
-        def weight(c: int) -> float:
-            return scale * (1.0 - psi.get(c, 0.0) / psi_max)
-
+    def _weighted_leg(
+        self,
+        u: int,
+        v: int,
+        corridor: list[int],
+        direction: tuple[float, float],
+    ) -> list[int] | None:
+        """Vertex-weighted shortest path inside the corridor partitions."""
+        # The memoised frozenset keys the induced-subgraph LRU in
+        # ``dijkstra_restricted``: repeated legs through the same
+        # corridor reuse the cached CSR submatrix.
+        allowed = self._filter.corridor_vertices(corridor)
+        weights = self._leg_weights(corridor, direction)
         try:
-            _cost, path = dijkstra_restricted(self._network, u, v, allowed, vertex_weight=weight)
+            _cost, path = dijkstra_restricted(self._network, u, v, allowed, vertex_weight=weights)
             return path
         except PathNotFound:
             return None
 
     def partition_demand_share(self, pi: int) -> float:
         """Share of historical pick-up demand generated inside ``P_i``."""
+        return self._demand_share[pi]
+
+    def _cruise_targets(
+        self, here: int, hour: int, max_duration_s: float
+    ) -> tuple[list[int], np.ndarray]:
+        """Reachable target partitions and their sampling weights, memoised."""
+        key = (here, hour, max_duration_s)
+        cached = self._cruise_cache.get(key)
+        if cached is not None:
+            return cached
         lg = self._filter.landmark_graph
-        cached = getattr(self, "_demand_share", None)
-        if cached is None:
-            cached = []
-            for z in range(lg.num_partitions):
-                cached.append(
-                    sum(self._model.pickup_frequency(v) for v in lg.members(z))
-                )
-            self._demand_share = cached
-        return cached[pi]
+        candidates: list[int] = []
+        scores: list[float] = []
+        for pi in range(lg.num_partitions):
+            share = self._demand_share[pi]
+            if self._predictor is not None:
+                # Blend the hour-of-day rate with the overall share: the
+                # hourly estimate is sharper but noisier (few observed
+                # days per hour), the overall share is stable.
+                share = 0.5 * share + 0.5 * self._predictor.share(pi, hour)
+            if share <= 0.0:
+                continue
+            travel = lg.landmark_cost(here, pi)
+            if travel > max_duration_s:
+                continue
+            candidates.append(pi)
+            scores.append(share / (1.0 + travel / 300.0))
+        weights = np.asarray(scores)
+        if candidates:
+            weights = weights / weights.sum()
+        cached = (candidates, weights)
+        self._cruise_cache[key] = cached
+        return cached
 
     def cruise_route(
         self,
@@ -467,22 +583,7 @@ class ProbabilisticRouter(BasicRouter):
         lg = self._filter.landmark_graph
         here = lg.partition_of(start_node)
         hour = int(start_time // 3600) % 24
-        candidates: list[int] = []
-        scores: list[float] = []
-        for pi in range(lg.num_partitions):
-            share = self.partition_demand_share(pi)
-            if self.demand_predictor is not None:
-                # Blend the hour-of-day rate with the overall share: the
-                # hourly estimate is sharper but noisier (few observed
-                # days per hour), the overall share is stable.
-                share = 0.5 * share + 0.5 * self.demand_predictor.share(pi, hour)
-            if share <= 0.0:
-                continue
-            travel = lg.landmark_cost(here, pi)
-            if travel > max_duration_s:
-                continue
-            candidates.append(pi)
-            scores.append(share / (1.0 + travel / 300.0))
+        candidates, weights = self._cruise_targets(here, hour, max_duration_s)
         if not candidates:
             return None
         # Sample the target proportionally to its score instead of
@@ -491,21 +592,17 @@ class ProbabilisticRouter(BasicRouter):
         # The seed is derived from (position, time) so runs stay
         # deterministic.
         rng = np.random.default_rng((start_node * 1_000_003 + int(start_time)) & 0x7FFFFFFF)
-        weights = np.asarray(scores)
-        weights = weights / weights.sum()
         best_target = int(candidates[rng.choice(len(candidates), p=weights)])
-        target_vertex = max(
-            lg.members(best_target), key=self._model.pickup_count
-        )
+        target_vertex = self._hot_vertex[best_target]
         if target_vertex == start_node:
             # Already parked on the hot spot; hop to the runner-up so the
             # taxi keeps sweeping demand instead of standing still.
             neighbors = [z for z in lg.neighbors(best_target)
-                         if self.partition_demand_share(z) > 0]
+                         if self._demand_share[z] > 0]
             if not neighbors:
                 return None
             nxt = max(neighbors, key=self.partition_demand_share)
-            target_vertex = max(lg.members(nxt), key=self._model.pickup_count)
+            target_vertex = self._hot_vertex[nxt]
             if target_vertex == start_node:
                 return None
             best_target = nxt
@@ -576,9 +673,7 @@ class ProbabilisticRouter(BasicRouter):
             chosen: list[int] | None = None
 
             pz, pz1 = lg.partition_of(node), lg.partition_of(stop.node)
-            retained = self._filter.filter_partitions(pz, pz1)
-            weight = {pi: self.partition_probability(pi, direction) for pi in retained}
-            for corridor in self._corridors(retained, pz, pz1, weight):
+            for corridor in self._corridors(pz, pz1, direction):
                 path = self._weighted_leg(node, stop.node, corridor, direction)
                 if path is None:
                     continue

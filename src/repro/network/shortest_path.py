@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import os
 from collections import OrderedDict
-from collections.abc import Callable, Collection, Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -516,27 +516,12 @@ def clear_subgraph_cache() -> None:
     _SUBGRAPH_STATS["builds"] = 0
 
 
-def _resolve_weight_fn(
-    vertex_weight: Mapping[int, float] | Callable[[int], float] | None,
-) -> Callable[[int], float] | None:
-    if vertex_weight is None:
-        return None
-    if callable(vertex_weight):
-        return vertex_weight
-    mapping = vertex_weight
-
-    def weight_of(v: int) -> float:
-        return mapping.get(v, 0.0)
-
-    return weight_of
-
-
 def dijkstra_restricted(
     network: RoadNetwork,
     source: int,
     target: int,
     allowed: Collection[int] | None = None,
-    vertex_weight: Mapping[int, float] | Callable[[int], float] | None = None,
+    vertex_weight: np.ndarray | None = None,
     method: str = "auto",
 ) -> tuple[float, list[int]]:
     """Dijkstra from ``source`` to ``target`` over an allowed vertex set.
@@ -549,8 +534,11 @@ def dijkstra_restricted(
     vertex_weight:
         Optional additive weight charged on *entering* a vertex, used by
         probabilistic routing where vertex ``v_c`` carries weight
-        ``1 / psi_c`` (Algorithm 4, step 3).  May be a mapping (missing
-        vertices cost 0) or a callable.
+        ``1 / psi_c`` (Algorithm 4, step 3).  One float per vertex of
+        ``allowed`` in ascending vertex-id order (per vertex id when
+        ``allowed`` is ``None``) — the order of the induced subgraph,
+        so the fast path folds it in without a lookup.  An endpoint
+        outside ``allowed`` costs 0.
     method:
         ``"auto"`` (default) runs scipy's C Dijkstra on the induced CSR
         submatrix of ``allowed`` (LRU-cached per corridor), falling
@@ -588,7 +576,7 @@ def _dijkstra_restricted_csr(
     source: int,
     target: int,
     allowed: frozenset,
-    vertex_weight: Mapping[int, float] | Callable[[int], float] | None,
+    vertex_weight: np.ndarray | None,
 ) -> tuple[float, list[int]]:
     """CSR fast path: scipy Dijkstra on the cached induced subgraph."""
     sub = _induced_subgraph(network, allowed)
@@ -596,14 +584,10 @@ def _dijkstra_restricted_csr(
     lt = sub.local_of(target)
     if source == target:
         return 0.0, [source]
-    weight_of = _resolve_weight_fn(vertex_weight)
-    w_local = None
-    if weight_of is not None:
-        w_local = np.fromiter(
-            (weight_of(int(v)) for v in sub.nodes), dtype=np.float64, count=sub.nodes.size
-        )
+    if vertex_weight is not None and vertex_weight.shape != sub.nodes.shape:
+        raise ValueError("vertex_weight needs one entry per allowed vertex")
     dist, pred = csgraph.dijkstra(
-        sub.matrix(w_local), directed=True, indices=ls, return_predecessors=True
+        sub.matrix(vertex_weight), directed=True, indices=ls, return_predecessors=True
     )
     if not np.isfinite(dist[lt]):
         raise PathNotFound(
@@ -623,13 +607,18 @@ def _dijkstra_restricted_scalar(
     source: int,
     target: int,
     allowed: Collection[int] | None,
-    vertex_weight: Mapping[int, float] | Callable[[int], float] | None,
+    vertex_weight: np.ndarray | None,
 ) -> tuple[float, list[int]]:
     """Reference implementation: pure-Python heap Dijkstra."""
     if allowed is not None and not isinstance(allowed, (set, frozenset)):
         allowed = set(allowed)
 
-    weight_of = _resolve_weight_fn(vertex_weight)
+    weight_of: dict[int, float] | None = None
+    if vertex_weight is not None:
+        order = range(network.num_vertices) if allowed is None else sorted(allowed)
+        if vertex_weight.shape != (len(order),):
+            raise ValueError("vertex_weight needs one entry per allowed vertex")
+        weight_of = dict(zip(order, vertex_weight.tolist()))
     speed = network.speed_mps
     dist: dict[int, float] = {source: 0.0}
     prev: dict[int, int] = {}
@@ -655,7 +644,7 @@ def _dijkstra_restricted_scalar(
             # The vertex weight is folded into the edge cost *before*
             # adding to ``d`` so the accumulation order matches the CSR
             # fast path bit for bit.
-            edge = length / speed if weight_of is None else length / speed + weight_of(v)
+            edge = length / speed if weight_of is None else length / speed + weight_of.get(v, 0.0)
             nd = d + edge
             if nd < dist.get(v, _UNREACHABLE):
                 dist[v] = nd

@@ -40,6 +40,7 @@ class TransitionModel:
         self._pickups = pickup_counts
         total = pickup_counts.sum()
         self._pickup_freq = pickup_counts / total if total > 0 else np.zeros_like(pickup_counts)
+        self._peak_pickups = float(pickup_counts.max()) if pickup_counts.size else 0.0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -139,10 +140,9 @@ class TransitionModel:
 
     def relative_pickup_frequency(self, v: int) -> float:
         """Pickups at ``v`` relative to the hottest vertex, in ``[0, 1]``."""
-        peak = float(self._pickups.max()) if self._pickups.size else 0.0
-        if peak <= 0:
+        if self._peak_pickups <= 0:
             return 0.0
-        return float(self._pickups[v]) / peak
+        return float(self._pickups[v]) / self._peak_pickups
 
     def mass_to(self, v: int, dest_clusters) -> float:
         """``psi_v``: probability a trip from ``v`` ends in any of ``dest_clusters``.

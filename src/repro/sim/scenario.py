@@ -629,7 +629,7 @@ class Scenario:
         part = self.partitioning("bipartite", config.num_partitions)
         landmarks = self.landmark_graph("bipartite", config.num_partitions)
         pfilter = PartitionFilter(landmarks, lam=config.lam, epsilon=config.epsilon)
-        router = ProbabilisticRouter(
+        return ProbabilisticRouter(
             self.network,
             self.engine,
             pfilter,
@@ -637,10 +637,10 @@ class Scenario:
             lam=config.lam,
             max_attempts=config.max_probabilistic_attempts,
             steering_m=config.prob_steering_m,
+            demand_predictor=(
+                self.demand_predictor(part) if config.use_demand_prediction else None
+            ),
         )
-        if config.use_demand_prediction:
-            router.demand_predictor = self.demand_predictor(part)
-        return router
 
     def demand_predictor(self, partitioning: MapPartitioning):
         """An hour-aware pick-up predictor fitted on this scenario's history."""

@@ -336,7 +336,8 @@ class TestRestrictedDijkstra:
         compared = 0
         for _ in range(40):
             allowed = self._random_allowed(rng, net)
-            weights = {int(v): float(rng.uniform(0.0, 30.0)) for v in allowed}
+            # One weight per allowed vertex, in ascending vertex order.
+            weights = rng.uniform(0.0, 30.0, size=len(allowed))
             nodes = sorted(allowed)
             u, v = (int(x) for x in rng.choice(nodes, size=2, replace=False))
             try:

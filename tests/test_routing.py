@@ -1,5 +1,7 @@
 """Tests for basic and probabilistic routing (Algorithms 3 and 4)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,115 @@ class TestProbabilisticRouter:
         route = router.cruise_route(7, 0.0)
         # Either relocates elsewhere or declines; never a zero-length route.
         assert route is None or len(route.nodes) >= 2
+
+    def test_cruise_does_not_poison_west_direction(self, tiny_net, tiny_engine, row_lg,
+                                                   tiny_model):
+        # A cruise routes with the zero direction, which every partition
+        # suits.  Heading due west-south-west (atan2 < -7/8 pi) used to
+        # share that memo key, so a taxi planned after a cruise saw
+        # "every partition" instead of its own suitable set.
+        def make():
+            return ProbabilisticRouter(
+                tiny_net, tiny_engine, PartitionFilter(row_lg), tiny_model, lam=0.0
+            )
+
+        west = (-1.0, -0.1)
+        cruised = make()
+        for start in range(tiny_net.num_vertices):
+            cruised.cruise_route(start, 0.0)
+        for pi in range(row_lg.num_partitions):
+            assert cruised.partition_probability(pi, west) == make().partition_probability(
+                pi, west
+            )
+
+    def test_zero_direction_has_its_own_sector(self):
+        from repro.core.routing import ZERO_SECTOR, _sector
+
+        sectors = {_sector((math.cos(a), math.sin(a)))
+                   for a in np.linspace(-math.pi, math.pi, 97)}
+        assert sectors == set(range(16))
+        assert _sector((0.0, 0.0)) == ZERO_SECTOR
+
+
+def _sector_directions():
+    """One direction per memo key: the 16 sector centres and the zero vector.
+
+    A sector memo keeps the answer of the first direction that reached
+    it, so two routers only agree when each sector is only ever asked
+    with the same direction.
+    """
+    angles = [-math.pi + (k + 0.5) * math.pi / 8 for k in range(16)]
+    return [(math.cos(a), math.sin(a)) for a in angles] + [(0.0, 0.0)]
+
+
+class TestProbabilisticMemos:
+    """A router that has served many legs answers like a fresh one."""
+
+    DIRECTIONS = _sector_directions()
+
+    @pytest.fixture(scope="class")
+    def make(self, small_net, small_engine, small_landmarks, small_partitioning):
+        def make():
+            return ProbabilisticRouter(
+                small_net,
+                small_engine,
+                PartitionFilter(small_landmarks),
+                small_partitioning.transition_model,
+            )
+
+        return make
+
+    @pytest.fixture(scope="class")
+    def driven(self, make, small_net, small_engine):
+        router = make()
+        rng = np.random.default_rng(21)
+        n = small_net.num_vertices
+        for i in range(150):
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            dx, dy = self.DIRECTIONS[int(rng.integers(0, len(self.DIRECTIONS)))]
+            r = trip_request(small_engine, u, v, rho=2.0, rid=i)
+            vec = MobilityVector(0.0, 0.0, dx, dy)
+            try:
+                router.route_for_schedule(u, 0.0, [pickup(r), dropoff(r)], taxi_vector=vec)
+            except RouteInfeasible:
+                pass
+            router.cruise_route(v, float(rng.uniform(0.0, 86_400.0)))
+        return router
+
+    def _cases(self, small_net, seed):
+        rng = np.random.default_rng(seed)
+        n = small_net.num_vertices
+        for _ in range(60):
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            d = self.DIRECTIONS[int(rng.integers(0, len(self.DIRECTIONS)))]
+            yield u, v, d, float(rng.uniform(0.0, 86_400.0))
+
+    def test_corridors_and_legs_match_fresh(self, make, driven, small_net, small_landmarks):
+        lg = small_landmarks
+        checked = 0
+        for u, v, d, _t in self._cases(small_net, 5):
+            pz, pz1 = lg.partition_of(u), lg.partition_of(v)
+            corridors = driven._corridors(pz, pz1, d)
+            assert corridors == make()._corridors(pz, pz1, d)
+            cruise_corridor = driven._filter.filter_partitions(pz, pz1)
+            for corridor in [*corridors, cruise_corridor]:
+                assert driven._weighted_leg(u, v, corridor, d) == make()._weighted_leg(
+                    u, v, corridor, d
+                )
+                checked += 1
+        assert checked > 60
+
+    def test_leg_weights_follow_corridor_vertices(self, driven):
+        assert driven._weight_cache
+        for (corridor, _sector_key), weights in driven._weight_cache.items():
+            assert weights.shape == (len(driven._filter.corridor_vertices(corridor)),)
+
+    def test_cruise_matches_fresh(self, make, driven, small_net):
+        for u, _v, _d, t in self._cases(small_net, 9):
+            a = driven.cruise_route(u, t)
+            b = make().cruise_route(u, t)
+            if a is None or b is None:
+                assert a is b
+                continue
+            assert a.nodes == b.nodes
+            assert a.times == b.times

@@ -326,20 +326,36 @@ class TestDijkstraRestricted:
 
     def test_vertex_weights_steer(self, tiny_net):
         # Two equal-cost 0->2 alternatives exist via 1; penalise vertex 1
-        # heavily and the path must avoid it.
-        heavy = {1: 1e6}
+        # heavily and the path must avoid it.  Without ``allowed`` the
+        # weights are indexed by vertex id.
+        heavy = np.zeros(tiny_net.num_vertices)
+        heavy[1] = 1e6
         _cost, path = dijkstra_restricted(tiny_net, 0, 2, vertex_weight=heavy)
         assert 1 not in path
 
-    def test_vertex_weight_callable(self, tiny_net):
+    @pytest.mark.parametrize("method", ["csr", "scalar"])
+    def test_vertex_weights_follow_sorted_allowed(self, tiny_net, method):
+        # With ``allowed`` the weights follow its ascending vertex order:
+        # position 1 of sorted({0, 1, 2, 3, 4, 5}) is vertex 1.
+        allowed = frozenset({5, 4, 3, 2, 1, 0})
+        heavy = np.array([0.0, 1e6, 0.0, 0.0, 0.0, 0.0])
         _cost, path = dijkstra_restricted(
-            tiny_net, 0, 2, vertex_weight=lambda v: 1e6 if v == 1 else 0.0
+            tiny_net, 0, 2, allowed, vertex_weight=heavy, method=method
         )
-        assert 1 not in path
+        assert path == [0, 3, 4, 5, 2]
+
+    @pytest.mark.parametrize("method", ["csr", "scalar"])
+    def test_vertex_weights_length_checked(self, tiny_net, method):
+        with pytest.raises(ValueError):
+            dijkstra_restricted(
+                tiny_net, 0, 2, frozenset({0, 1, 2}), vertex_weight=np.zeros(4), method=method
+            )
 
     def test_weighted_cost_includes_weights(self, tiny_net):
         base_cost, _ = dijkstra_restricted(tiny_net, 0, 2)
-        w_cost, _ = dijkstra_restricted(tiny_net, 0, 2, vertex_weight={5: 7.5, 2: 2.5})
+        weights = np.zeros(tiny_net.num_vertices)
+        weights[5], weights[2] = 7.5, 2.5
+        w_cost, _ = dijkstra_restricted(tiny_net, 0, 2, vertex_weight=weights)
         # 0->1->2 avoids 5; weight on target 2 still applies.
         assert w_cost == pytest.approx(base_cost + 2.5)
 
